@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-advisor bench-search race fuzz crossval crossval-search check clean
+.PHONY: all build test vet bench bench-advisor bench-search allocbench race fuzz crossval crossval-search check clean
 
 all: build
 
@@ -24,8 +24,8 @@ race:
 # bench runs every benchmark once for compile/run coverage, then the
 # full-scale sweep comparison at the default 1M refs -- legacy
 # three-pass arrangement vs the fused engine at one worker and at full
-# pool width with set sharding, plus a cold-record/warm-replay
-# trace-cache pair -- recording every series in BENCH_sweep.json.
+# pool width with set sharding, plus a spans-on re-run -- recording
+# every series in BENCH_sweep.json.
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	BENCH_SWEEP_JSON=$(CURDIR)/BENCH_sweep.json $(GO) test -run TestSweepBenchArtifact -count=1 -v ./internal/experiments/
@@ -46,9 +46,16 @@ bench-advisor:
 bench-search:
 	BENCH_SEARCH_JSON=$(CURDIR)/BENCH_search.json $(GO) test -run TestSearchBenchArtifact -count=1 -v ./internal/experiments/
 
+# allocbench runs the allocation-pipeline benchmark (BENCHMARK.json):
+# every workload, end to end, with every answer checked. It takes about
+# a minute per workload and times the machine it runs on, so it stays
+# out of `make check`; pass flags with ARGS, e.g.
+# make allocbench ARGS='--workload advise --seed 3'.
+allocbench:
+	bash allocbench/run.sh $(ARGS)
+
 fuzz:
 	$(GO) test -fuzz=FuzzTrace -fuzztime=20s -run=FuzzTrace ./internal/trace/
-	$(GO) test -fuzz=FuzzTraceCacheRoundTrip -fuzztime=20s -run=FuzzTraceCacheRoundTrip ./internal/tracecache/
 
 # crossval pins the single-pass stack simulators and the fused sweep
 # engine to their direct-simulation oracles, under the race detector:

@@ -14,9 +14,9 @@
 //   - identical concurrent requests collapse onto one computation
 //     (singleflight on the FNV-64a request signature) and a bounded
 //     LRU (-cache-entries) answers repeats byte-identically
-//   - a circuit breaker around the -trace-cache store trips to live
-//     regeneration after repeated corruption, probing again after
-//     -breaker-cooldown
+//   - requests that differ only in budget, cap or space share one
+//     measured model: the daemon sweeps each (OS, workload mix, refs)
+//     once and keeps the model in a bounded in-memory store
 //   - worker panics answer 500 without taking the daemon down
 //   - GET /healthz reports liveness, GET /readyz readiness (503 while
 //     draining); GET /obs/metrics etc. expose the telemetry plane
@@ -43,7 +43,6 @@ import (
 	"onchip/internal/lifecycle"
 	"onchip/internal/obs"
 	"onchip/internal/telemetry"
-	"onchip/internal/tracecache"
 )
 
 func main() {
@@ -59,9 +58,6 @@ func run() int {
 	drainCheckpoint := flag.String("drain-checkpoint", "", "write aborted in-flight requests to this JSON file when the drain deadline hits")
 	cacheEntries := flag.Int("cache-entries", 64, "bounded LRU of rendered responses (byte-identical repeats)")
 	maxRefs := flag.Int("max-refs", 50_000_000, "largest per-workload reference count one request may demand")
-	traceCacheDir := flag.String("trace-cache", "", "trace-cache directory (warm runs replay recorded reference streams; corrupt entries fall back to regeneration)")
-	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive trace-cache corruptions that open the breaker")
-	breakerCooldown := flag.Duration("breaker-cooldown", 30*time.Second, "open-breaker period before a probe request")
 	faultSeed := flag.Int64("fault-seed", 1, "fault-injection PRNG seed (deterministic schedule)")
 	faultPanicProb := flag.Float64("fault-panic-prob", 0, "probability a sweep worker panics, per workload attempt (chaos testing)")
 	faultRetries := flag.Int("fault-retries", 2, "times a failed workload sweep is retried before the request errors")
@@ -78,32 +74,20 @@ func run() int {
 
 	reg := telemetry.NewRegistry()
 	cfg := advisor.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		RequestTimeout:   *timeout,
-		DrainTimeout:     *drainTimeout,
-		CheckpointPath:   *drainCheckpoint,
-		CacheEntries:     *cacheEntries,
-		MaxRefs:          *maxRefs,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-		Metrics:          reg,
-		Logw:             os.Stderr,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		RequestTimeout: *timeout,
+		DrainTimeout:   *drainTimeout,
+		CheckpointPath: *drainCheckpoint,
+		CacheEntries:   *cacheEntries,
+		MaxRefs:        *maxRefs,
+		Metrics:        reg,
+		Logw:           os.Stderr,
 	}
 	if *faultPanicProb > 0 {
 		cfg.FaultInjector = faultinject.New(faultinject.Config{Seed: *faultSeed, PanicProb: *faultPanicProb})
 		cfg.FaultInjector.Describe(reg, "faults")
 		cfg.FaultRetries = *faultRetries
-	}
-	if *traceCacheDir != "" {
-		tc, err := tracecache.Open(*traceCacheDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "advisor:", err)
-			return 1
-		}
-		tc.Describe(reg)
-		tc.SetLogWriter(os.Stderr)
-		cfg.TraceCache = tc
 	}
 	// Jobs run under the server's own base context, not the signal
 	// context: the first signal must stop admission and let in-flight

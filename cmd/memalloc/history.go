@@ -17,7 +17,6 @@ import (
 	"onchip/internal/obs"
 	"onchip/internal/search"
 	"onchip/internal/telemetry"
-	"onchip/internal/tracecache"
 	"onchip/internal/tsdb"
 )
 
@@ -31,25 +30,25 @@ func runHistory(args []string, globalRefs int) int {
 	dir := fs.String("dir", ".", "directory for the snapshot file")
 	out := fs.String("o", "", "exact output path (overrides -dir and the BENCH_<runid>.json name)")
 	tsdbDir := fs.String("tsdb", "", "also persist sampled metric series to this time-series store root")
-	traceCacheDir := fs.String("trace-cache", "", "cache generated workload reference streams under this directory (warm runs replay instead of regenerating)")
 	shards := fs.Int("shards", 0, "set shards per sweep simulator group (power of two; 0 = automatic; never changes results)")
 	searchStrategy := fs.String("search", "exhaustive", "design-space search strategy for the allocation experiments: exhaustive or pruned (byte-identical top-10)")
 	spacePreset := fs.String("space", "table5", "design space for the allocation experiments: table5 (the paper's grid) or big (>=1M triples, power-law miss model off-grid)")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, `usage: memalloc history [-refs N] [-dir DIR | -o FILE] [-tsdb DIR] [-trace-cache DIR] [-shards N] [-search S] [-space P] <experiment>... | all
+		fmt.Fprintln(os.Stderr, `usage: memalloc history [-refs N] [-dir DIR | -o FILE] [-tsdb DIR] [-shards N] [-search S] [-space P] <experiment>... | all
 
 Runs the experiments with metrics collection on and persists the
 end-of-run telemetry snapshot as BENCH_<runid>.json, for later
 regression checks with "memalloc compare". With -tsdb, the sampled
 metric series are also persisted to the durable time-series store, so
 one invocation feeds both "memalloc compare" and "memalloc tsdb trend".
--trace-cache and -shards speed the sweeps up without changing any
-simulation result (compare warm-vs-cold snapshots with
--ignore 'tracecache\..*'). -search pruned keeps the allocation
-rankings byte-identical too; compare a pruned vs an exhaustive run
-with -ignore 'search\.configs_' (the strategies price and keep
-different counts; the pruned-only search.pruned_*/search.bound_*
-gauges are excluded automatically).`)
+-shards speeds the sweeps up without changing any simulation result
+(compare -shards 1 vs 8 snapshots with -ignore 'sweep\.shards').
+The allocation experiments of one invocation share one measured model
+(experiments.model_store.* counts hits and misses). -search pruned
+keeps the allocation rankings byte-identical too; compare a pruned vs
+an exhaustive run with -ignore 'search\.configs_' (the strategies price
+and keep different counts; the pruned-only search.pruned_*/
+search.bound_* gauges are excluded automatically).`)
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
@@ -66,15 +65,7 @@ gauges are excluded automatically).`)
 	opt := experiments.Options{
 		Refs: *refs, Metrics: reg, Context: ctx, Shards: *shards,
 		SearchStrategy: *searchStrategy, SpacePreset: *spacePreset,
-	}
-	if *traceCacheDir != "" {
-		tc, err := tracecache.Open(*traceCacheDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "memalloc:", err)
-			return 1
-		}
-		tc.Describe(reg)
-		opt.TraceCache = tc
+		Models: experiments.NewModelStore(),
 	}
 	runID := obs.RunID("memalloc", start)
 	flushTsdb := func() {}
@@ -152,7 +143,7 @@ gauges are excluded automatically).`)
 func runCompare(args []string) int {
 	fs := flag.NewFlagSet("memalloc compare", flag.ExitOnError)
 	threshold := fs.Float64("threshold", 0.01, "relative change beyond which a metric is flagged")
-	ignore := fs.String("ignore", "", "regexp of metric names to exclude from the diff (e.g. 'sweep\\.workers|tracecache\\..*' when comparing runs that legitimately differ in execution arrangement)")
+	ignore := fs.String("ignore", "", "regexp of metric names to exclude from the diff (e.g. 'sweep\\.workers|sweep\\.shards' when comparing runs that legitimately differ in execution arrangement)")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, `usage: memalloc compare [-threshold F] [-ignore REGEX] <a.json> <b.json>
 
@@ -162,8 +153,8 @@ CPI agree within the threshold, 1 when any metric regressed or is
 missing from one run, 2 on usage or read errors (so CI can tell a
 regression from a missing or unreadable run file). -ignore drops
 matching metric names entirely, so execution-arrangement metrics (pool
-width, shard count, trace-cache hit counters) do not fail a
-determinism gate that only the simulation results should gate.`)
+width, shard count) do not fail a determinism gate that only the
+simulation results should gate.`)
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)

@@ -60,15 +60,14 @@
 //	-prof-span NAME capture a CPU profile bracketed exactly by the first
 //	                span named NAME (-prof-span-out sets the .pprof path)
 //
-// Performance flags (neither ever changes experiment output):
+// Performance flag (it never changes experiment output):
 //
-//	-trace-cache DIR  cache generated workload reference streams under
-//	                  DIR (compressed, content-addressed, checksummed);
-//	                  a warm run replays the recorded stream instead of
-//	                  regenerating it, a corrupt entry falls back to
-//	                  regeneration
 //	-shards N         set shards per sweep simulator group (power of
 //	                  two, 0 = automatic from the worker count)
+//
+// The allocation experiments of one invocation (table6, table7,
+// ext-atime) share one measured model: the first sweeps it, the others
+// answer from it (table7 by projecting it onto the 2-way grid).
 //
 // Fault tolerance (see DESIGN.md "Fault tolerance"):
 //
@@ -120,7 +119,6 @@ import (
 	"onchip/internal/obs"
 	"onchip/internal/spans"
 	"onchip/internal/telemetry"
-	"onchip/internal/tracecache"
 	"onchip/internal/tsdb"
 )
 
@@ -143,7 +141,6 @@ func run() int {
 	profSpanOut := flag.String("prof-span-out", "", "CPU profile output path for -prof-span (default span_<name>.pprof)")
 	checkpoint := flag.String("checkpoint", "", "persist design-space sweep state to this file (atomic, checksummed)")
 	resume := flag.String("resume", "", "resume a design-space sweep from this checkpoint file (implies -checkpoint to the same file)")
-	traceCacheDir := flag.String("trace-cache", "", "cache generated workload reference streams (compressed, content-addressed) under this directory; warm runs replay instead of regenerating")
 	shards := flag.Int("shards", 0, "set shards per sweep simulator group (power of two; 0 = automatic from the worker count; never changes results)")
 	faultSeed := flag.Int64("fault-seed", 1, "fault-injection PRNG seed (deterministic schedule)")
 	faultPanicProb := flag.Float64("fault-panic-prob", 0, "probability a sweep worker panics, per workload attempt (testing the recovery path)")
@@ -213,19 +210,10 @@ func run() int {
 	opt.FaultInjector = faultinject.New(faultinject.Config{Seed: *faultSeed, PanicProb: *faultPanicProb})
 	opt.FaultRetries = *faultRetries
 	opt.Shards = *shards
+	opt.Models = experiments.NewModelStore()
 	if *metricsFile != "" || *serveAddr != "" || *tsdbDir != "" {
 		opt.Metrics = telemetry.NewRegistry()
 		opt.FaultInjector.Describe(opt.Metrics, "faults")
-	}
-	if *traceCacheDir != "" {
-		tc, err := tracecache.Open(*traceCacheDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "memalloc:", err)
-			return 1
-		}
-		tc.Describe(opt.Metrics)
-		tc.SetLogWriter(os.Stderr) // corrupt entries log their content address
-		opt.TraceCache = tc
 	}
 	if *traceFile != "" || *serveAddr != "" {
 		opt.Tracer = telemetry.NewTracer(telemetry.DefaultTracerDepth)

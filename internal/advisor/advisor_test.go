@@ -16,17 +16,7 @@ import (
 	"time"
 
 	"onchip/internal/experiments"
-	"onchip/internal/tracecache"
 )
-
-func openTestCache(t *testing.T, dir string) *tracecache.Cache {
-	t.Helper()
-	tc, err := tracecache.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tc
-}
 
 func postAdvise(t *testing.T, url string, body string) (*http.Response, []byte) {
 	t.Helper()
@@ -52,60 +42,6 @@ func fakeResponse(req experiments.AdviseRequest) *experiments.AdviseResponse {
 		Allocations: []experiments.RankedAllocation{
 			{Rank: 1, TLB: "fake", ICache: "fake", DCache: "fake", AreaRBE: req.BudgetRBE, CPI: 2.0},
 		},
-	}
-}
-
-func TestBreakerStateMachine(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := NewBreaker(3, 10*time.Second)
-	b.setClock(func() time.Time { return now })
-
-	if !b.Allow() || b.State() != BreakerClosed {
-		t.Fatal("new breaker should be closed and allowing")
-	}
-	b.Failure()
-	b.Failure()
-	if b.State() != BreakerClosed {
-		t.Fatalf("2 failures below threshold should stay closed, got %v", b.State())
-	}
-	b.Failure()
-	if b.State() != BreakerOpen {
-		t.Fatalf("3rd consecutive failure should open, got %v", b.State())
-	}
-	if b.Allow() {
-		t.Fatal("open breaker within cooldown should refuse")
-	}
-	now = now.Add(11 * time.Second)
-	if !b.Allow() {
-		t.Fatal("after cooldown one probe should be admitted")
-	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("probe should move to half-open, got %v", b.State())
-	}
-	if b.Allow() {
-		t.Fatal("second caller during a probe should be refused")
-	}
-	b.Failure()
-	if b.State() != BreakerOpen {
-		t.Fatalf("failed probe should reopen, got %v", b.State())
-	}
-	now = now.Add(11 * time.Second)
-	if !b.Allow() {
-		t.Fatal("second probe after second cooldown")
-	}
-	b.Success()
-	if b.State() != BreakerClosed || !b.Allow() {
-		t.Fatal("successful probe should close the breaker")
-	}
-	// Success resets the failure streak: two failures, a success, two
-	// more failures must not trip a threshold-3 breaker.
-	b.Failure()
-	b.Failure()
-	b.Success()
-	b.Failure()
-	b.Failure()
-	if b.State() != BreakerClosed {
-		t.Fatal("success should reset the consecutive-failure count")
 	}
 }
 
@@ -137,7 +73,7 @@ func TestSingleflightIdenticalBytes(t *testing.T) {
 	gate := make(chan struct{})
 	srv := New(Config{
 		Workers: 4,
-		Run: func(ctx context.Context, req experiments.AdviseRequest, useCache bool) (*experiments.AdviseResponse, error) {
+		Run: func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
 			mu.Lock()
 			runs++
 			mu.Unlock()
@@ -191,7 +127,7 @@ func TestSingleflightIdenticalBytes(t *testing.T) {
 func TestCacheHitIsByteIdentical(t *testing.T) {
 	srv := New(Config{
 		Workers: 1,
-		Run: func(ctx context.Context, req experiments.AdviseRequest, useCache bool) (*experiments.AdviseResponse, error) {
+		Run: func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
 			return fakeResponse(req), nil
 		},
 	})
@@ -217,7 +153,7 @@ func TestOverloadShedsWith429(t *testing.T) {
 	srv := New(Config{
 		Workers:    1,
 		QueueDepth: 1,
-		Run: func(ctx context.Context, req experiments.AdviseRequest, useCache bool) (*experiments.AdviseResponse, error) {
+		Run: func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
 			<-gate
 			return fakeResponse(req), nil
 		},
@@ -261,7 +197,7 @@ func TestRequestDeadlineAnswers504(t *testing.T) {
 	srv := New(Config{
 		Workers:        1,
 		RequestTimeout: 30 * time.Millisecond,
-		Run: func(ctx context.Context, req experiments.AdviseRequest, useCache bool) (*experiments.AdviseResponse, error) {
+		Run: func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
 			<-ctx.Done()
 			return nil, ctx.Err()
 		},
@@ -284,7 +220,7 @@ func TestWorkerPanicIsIsolated(t *testing.T) {
 	var mu sync.Mutex
 	srv := New(Config{
 		Workers: 1,
-		Run: func(ctx context.Context, req experiments.AdviseRequest, useCache bool) (*experiments.AdviseResponse, error) {
+		Run: func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
 			mu.Lock()
 			calls++
 			first := calls == 1
@@ -317,7 +253,7 @@ func TestWorkerPanicIsIsolated(t *testing.T) {
 }
 
 func TestBadRequestsAnswer400(t *testing.T) {
-	srv := New(Config{Workers: 1, MaxRefs: 10_000, Run: func(ctx context.Context, req experiments.AdviseRequest, useCache bool) (*experiments.AdviseResponse, error) {
+	srv := New(Config{Workers: 1, MaxRefs: 10_000, Run: func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
 		return fakeResponse(req), nil
 	}})
 	defer srv.Drain()
@@ -351,7 +287,7 @@ func TestGracefulDrainFinishesInFlight(t *testing.T) {
 		Workers:        2,
 		DrainTimeout:   5 * time.Second,
 		CheckpointPath: ckpt,
-		Run: func(ctx context.Context, req experiments.AdviseRequest, useCache bool) (*experiments.AdviseResponse, error) {
+		Run: func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
 			<-release
 			return fakeResponse(req), nil
 		},
@@ -421,7 +357,7 @@ func TestDrainDeadlineAbortsAndCheckpoints(t *testing.T) {
 		Workers:        1,
 		DrainTimeout:   50 * time.Millisecond,
 		CheckpointPath: ckpt,
-		Run: func(ctx context.Context, req experiments.AdviseRequest, useCache bool) (*experiments.AdviseResponse, error) {
+		Run: func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
 			<-ctx.Done() // only the drain abort ends this job
 			return nil, ctx.Err()
 		},
@@ -472,49 +408,45 @@ func TestDrainDeadlineAbortsAndCheckpoints(t *testing.T) {
 	}
 }
 
-func TestBreakerRoutesAroundTraceCache(t *testing.T) {
-	dir := t.TempDir()
-	tc := openTestCache(t, dir)
-	var sawUseCache []bool
-	var mu sync.Mutex
-	srv := New(Config{
-		Workers:          1,
-		TraceCache:       tc,
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour,
-		Run: func(ctx context.Context, req experiments.AdviseRequest, useCache bool) (*experiments.AdviseResponse, error) {
-			mu.Lock()
-			sawUseCache = append(sawUseCache, useCache)
-			mu.Unlock()
-			return fakeResponse(req), nil
-		},
-	})
-	defer srv.Drain()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	postAdvise(t, ts.URL, `{"workloads":["mab"],"refs":2000}`)
-	// Trip the breaker the way production does: corrupt-entry events
-	// from the trace cache fire the OnCorrupt hook New installed.
-	srv.Breaker().Failure()
-	srv.Breaker().Failure()
-	if srv.Breaker().State() != BreakerOpen {
-		t.Fatalf("breaker = %v, want open", srv.Breaker().State())
+// TestServersShareNoModels pins the model store's scope: it belongs to
+// one server. Each server's first request sweeps (a store miss) even
+// when another server already measured the same inputs, and a second
+// request that differs only in budget and cap is answered from the
+// server's own store, projected onto the capped grid.
+func TestServersShareNoModels(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real sweep pipeline")
 	}
-	postAdvise(t, ts.URL, `{"workloads":["mab"],"refs":3000}`)
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(sawUseCache) != 2 || sawUseCache[0] != true || sawUseCache[1] != false {
-		t.Fatalf("useCache sequence = %v, want [true false]", sawUseCache)
+	counts := func(srv *Server) (hits, misses uint64) {
+		return srv.Metrics().Counter("experiments.model_store.hits", "").Value(),
+			srv.Metrics().Counter("experiments.model_store.misses", "").Value()
 	}
-	if srv.mLiveRegen.Value() != 1 {
-		t.Fatalf("live_regen = %d, want 1", srv.mLiveRegen.Value())
+	for i := 0; i < 2; i++ {
+		srv := New(Config{Workers: 1})
+		ts := httptest.NewServer(srv.Handler())
+		resp, body := postAdvise(t, ts.URL, `{"workloads":["mab"],"refs":2000,"top":3}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("server %d: first request = %d %s", i, resp.StatusCode, body)
+		}
+		if h, m := counts(srv); h != 0 || m != 1 {
+			t.Fatalf("server %d after its first request: %d hits, %d misses; want 0, 1", i, h, m)
+		}
+		resp, body = postAdvise(t, ts.URL, `{"workloads":["mab"],"refs":2000,"top":3,"budget_rbe":200000,"max_cache_assoc":2}`)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Advisor-Source") != "run" {
+			t.Fatalf("server %d: second request = %d (%s) %s", i, resp.StatusCode, resp.Header.Get("X-Advisor-Source"), body)
+		}
+		if h, m := counts(srv); h != 1 || m != 1 {
+			t.Fatalf("server %d after a budget/cap variant: %d hits, %d misses; want 1, 1", i, h, m)
+		}
+		ts.Close()
+		if err := srv.Drain(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 func TestHealthEndpoints(t *testing.T) {
-	srv := New(Config{Workers: 1, Run: func(ctx context.Context, req experiments.AdviseRequest, useCache bool) (*experiments.AdviseResponse, error) {
+	srv := New(Config{Workers: 1, Run: func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
 		return fakeResponse(req), nil
 	}})
 	defer srv.Drain()

@@ -1,7 +1,7 @@
 // Package chaos is the advisor's deterministic load-and-fault
 // harness: seeded concurrent clients fire request storms at a running
-// advisor while (optionally) the fault-injection layer corrupts the
-// trace cache and panics sweep workers underneath it, and the harness
+// advisor while (optionally) the fault-injection layer panics sweep
+// workers underneath it, and the harness
 // checks the hardening contract from the outside:
 //
 //   - correctness: every 2xx body must be byte-identical to a direct,

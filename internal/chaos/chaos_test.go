@@ -1,9 +1,11 @@
 package chaos
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"sync"
@@ -13,14 +15,13 @@ import (
 	"onchip/internal/advisor"
 	"onchip/internal/experiments"
 	"onchip/internal/faultinject"
-	"onchip/internal/tracecache"
 )
 
 // fakeRun is a deterministic synthetic runner: the answer depends only
 // on the request, and the latency only on the signature and a seed, so
 // storms against it are reproducible.
 func fakeRun(delayPerRun time.Duration) advisor.RunFunc {
-	return func(ctx context.Context, req experiments.AdviseRequest, useCache bool) (*experiments.AdviseResponse, error) {
+	return func(ctx context.Context, req experiments.AdviseRequest) (*experiments.AdviseResponse, error) {
 		select {
 		case <-time.After(delayPerRun):
 		case <-ctx.Done():
@@ -41,7 +42,7 @@ func fakeRun(delayPerRun time.Duration) advisor.RunFunc {
 // runner, making the oracle independent of the HTTP path.
 func directFor(run advisor.RunFunc) func(experiments.AdviseRequest) ([]byte, error) {
 	return func(req experiments.AdviseRequest) ([]byte, error) {
-		resp, err := run(context.Background(), req, false)
+		resp, err := run(context.Background(), req)
 		if err != nil {
 			return nil, err
 		}
@@ -167,6 +168,19 @@ func realPipelinePool() []experiments.AdviseRequest {
 	return reqs
 }
 
+// sharedModelPool asks four questions of two measured models: three
+// requests differ only in budget or cap and share one sweep's inputs,
+// so an advisor with a model store answers them from one model (the
+// capped one by projection).
+func sharedModelPool() []experiments.AdviseRequest {
+	return []experiments.AdviseRequest{
+		{Workloads: []string{"mab"}, Refs: 1500, Top: 5},
+		{Workloads: []string{"mab"}, Refs: 1500, Top: 5, MaxCacheAssoc: 2},
+		{Workloads: []string{"mab"}, Refs: 1500, Top: 5, BudgetRBE: 200_000},
+		{Workloads: []string{"mab"}, Refs: 2000, Top: 5},
+	}
+}
+
 func realDirect(req experiments.AdviseRequest) ([]byte, error) {
 	resp, err := experiments.Advise(req, experiments.Options{})
 	if err != nil {
@@ -181,27 +195,19 @@ func realDirect(req experiments.AdviseRequest) ([]byte, error) {
 
 // TestRealPipelineWithFaultsIsByteIdentical is the end-to-end
 // correctness gate: the advisor runs the real experiments pipeline
-// over a trace cache whose reads are fault-injected (transient errors
-// and bit flips), and every 200 must still be byte-identical to a
-// clean, cache-less direct run -- corruption may cost time (fallback
-// regeneration, breaker trips), never answers.
+// with its model store while sweep workers panic at random (no
+// retries, so a panic degrades the model and fails the request). Every
+// 200 must be byte-identical to a clean, store-less direct run, and
+// every failure must be a retryable 503 -- a fault may cost a request,
+// never corrupt an answer or a stored model.
 func TestRealPipelineWithFaultsIsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sweep pipeline")
 	}
-	tc, err := tracecache.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := faultinject.New(faultinject.Config{Seed: 11, IOErrProb: 0.02, CorruptProb: 0.02})
-	tc.SetReadWrapper(inj.Reader)
-
 	srv := advisor.New(advisor.Config{
-		Workers:          2,
-		QueueDepth:       8,
-		TraceCache:       tc,
-		BreakerThreshold: 3,
-		BreakerCooldown:  50 * time.Millisecond,
+		Workers:       2,
+		QueueDepth:    8,
+		FaultInjector: faultinject.New(faultinject.Config{Seed: 11, PanicProb: 0.3}),
 	})
 	defer srv.Drain()
 	ts := httptest.NewServer(srv.Handler())
@@ -210,22 +216,69 @@ func TestRealPipelineWithFaultsIsByteIdentical(t *testing.T) {
 	rep, err := Run(Config{
 		URL:               ts.URL,
 		Clients:           4,
-		RequestsPerClient: 4,
+		RequestsPerClient: 5,
 		Seed:              1,
-		Requests:          realPipelinePool(),
+		Requests:          sharedModelPool(),
 		Direct:            realDirect,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v := rep.Violations(); len(v) != 0 {
-		t.Fatalf("violations with fault-injected trace cache: %v", v)
+		t.Fatalf("violations with panicking sweep workers: %v", v)
 	}
-	if rep.OK != rep.Total {
-		t.Fatalf("ok = %d of %d; injected read faults must degrade to regeneration, not errors", rep.OK, rep.Total)
+	if rep.OK+rep.Unavailable != rep.Total {
+		t.Fatalf("%d ok + %d unavailable of %d; every failure must be a 503 with Retry-After (report %+v)",
+			rep.OK, rep.Unavailable, rep.Total, rep)
+	}
+	if rep.OK == 0 || rep.Unavailable == 0 {
+		t.Fatalf("%d ok, %d unavailable: the seeded faults should fail some requests and spare others", rep.OK, rep.Unavailable)
 	}
 	if rep.CacheHits+rep.Dedups == 0 {
-		t.Fatal("storm of 16 requests over 3 signatures should hit the result cache or dedup")
+		t.Fatal("storm of 20 requests over 4 signatures should hit the result cache or dedup")
+	}
+
+	// A degraded sweep is never stored. A server whose every sweep
+	// panics fails its request with a retryable 503; a clean follow-up
+	// of the same request through that server's store must then sweep
+	// again (a miss), and answer exactly what a store-less run does.
+	failing := advisor.New(advisor.Config{
+		Workers:       1,
+		FaultInjector: faultinject.New(faultinject.Config{Seed: 1, PanicProb: 1}),
+	})
+	defer failing.Drain()
+	fts := httptest.NewServer(failing.Handler())
+	defer fts.Close()
+	req := experiments.AdviseRequest{Workloads: []string{"mab"}, Refs: 1500, Top: 5}
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(fts.URL+"/advise", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("failed sweep answered %d (Retry-After %q), want 503 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	misses := failing.Metrics().Counter("experiments.model_store.misses", "")
+	before := misses.Value()
+	if err := req.Normalize(0); err != nil {
+		t.Fatal(err)
+	}
+	clean, err := experiments.Advise(req, experiments.Options{Models: failing.Models(), Metrics: failing.Metrics()})
+	if err != nil {
+		t.Fatalf("clean follow-up: %v", err)
+	}
+	if got := misses.Value() - before; got != 1 {
+		t.Fatalf("clean follow-up swept %d time(s), want 1: a degraded model was reused", got)
+	}
+	got, _ := json.Marshal(clean)
+	want, err := realDirect(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(append(got, '\n'), want) {
+		t.Fatalf("clean follow-up differs from a store-less run:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -238,11 +291,7 @@ func TestBenchAdvisorArtifact(t *testing.T) {
 	if out == "" {
 		t.Skip("set BENCH_ADVISOR_JSON to record the advisor bench artifact")
 	}
-	tc, err := tracecache.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := advisor.New(advisor.Config{Workers: 4, QueueDepth: 8, TraceCache: tc})
+	srv := advisor.New(advisor.Config{Workers: 4, QueueDepth: 8})
 	defer srv.Drain()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

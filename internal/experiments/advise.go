@@ -163,8 +163,9 @@ type AdviseResponse struct {
 }
 
 // Advise runs the full pipeline for one normalized request: the fused
-// model-building sweep over the requested OS and workload mix, then
-// the budgeted enumeration, returning the ranked allocations. Unlike
+// model-building sweep over the requested OS and workload mix (or its
+// stored model, when opt.Models holds one), then the budgeted
+// enumeration, returning the ranked allocations. Unlike
 // the table experiments it is strict about degradation: if any
 // workload sweep fails (injected faults included) the whole request
 // errors rather than silently answering from a partial model -- the
@@ -197,7 +198,7 @@ func Advise(req AdviseRequest, opt Options) (*AdviseResponse, error) {
 		space.MaxCacheAssoc = req.MaxCacheAssoc
 	}
 
-	measured, failed, err := buildMeasuredModel(v, specs, grid, req.Refs, opt)
+	measured, failed, err := measuredModel(v, specs, grid, req.Refs, opt)
 	if err != nil {
 		return nil, fmt.Errorf("advise: model-building sweep: %w", err)
 	}

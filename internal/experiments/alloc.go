@@ -22,7 +22,6 @@ import (
 	"onchip/internal/telemetry"
 	"onchip/internal/tlb"
 	"onchip/internal/trace"
-	"onchip/internal/tracecache"
 	"onchip/internal/workload"
 )
 
@@ -43,7 +42,8 @@ func init() {
 // therefore the tables -- are bit-identical to the multi-pass form;
 // only the work to produce them shrank. Tables 6/7 pass Mach and the
 // full Table 2 suite; the advisor service passes whatever (OS,
-// workload-mix) a request names.
+// workload-mix) a request names. Callers reach it through
+// measuredModel, which answers from a scoped ModelStore when it can.
 func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space search.Space, refsEach int, opt Options) (*search.Measured, []string, error) {
 	cacheCfgs := space.CacheConfigs()
 	tlbCfgs := space.TLBConfigs()
@@ -64,8 +64,8 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 	// Register the sweep's instruments up front so a live /metrics
 	// scrape sees the series (at zero) from the first second of the
 	// model-building phase, not only after the first workload lands.
-	opt.Metrics.GaugeFunc("sweep.workloads_total", "workloads in the model-building sweep",
-		func() float64 { return float64(len(specs)) })
+	opt.Metrics.Gauge("sweep.workloads_total", "workloads in the model-building sweeps").
+		Add(float64(len(specs)))
 	wlDone := opt.Metrics.Counter("sweep.workloads_done", "workload sweeps completed")
 	wlFailed := opt.Metrics.Counter("sweep.workloads_failed", "workload sweeps abandoned after panics")
 	wlRetried := opt.Metrics.Counter("sweep.workloads_retried", "workload sweep retries after a panic")
@@ -111,13 +111,6 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 	// sinks attached, the TLB service counters reset there, phase 2 runs
 	// to E with both sinks, and phase 3 runs the tapeworm-only tail to
 	// E2. Every simulator sees byte-for-byte the stream it saw before.
-	// A warm trace cache short-circuits all of that generation: the
-	// recorded stream carries the two phase boundaries as segment marks,
-	// so a replay reproduces the exact three windows without running the
-	// OS model at all. A corrupt entry is discarded mid-replay -- the
-	// simulators have then seen a partial stream, so the whole attempt
-	// (fresh engine included) falls back to live generation, which also
-	// re-records the entry.
 	sweepWorkload := func(spec osmodel.WorkloadSpec) (engine *sweepEngine, results []tapeworm.Result, modelSec, tailSec float64, err error) {
 		defer func() {
 			if v := recover(); v != nil {
@@ -137,64 +130,28 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 		wl := lane.Start("sweep.workload")
 		defer wl.End()
 
-		attempt := func(entry *tracecache.Entry, rec *tracecache.Writer) (engine *sweepEngine, results []tapeworm.Result, modelSec, tailSec float64, err error) {
-			engine = newSweepEngine(cacheCfgs, 8, enginePar{pool: pool, shards: shards})
-			defer engine.close()
-			hw := tlb.NewManaged(tlb.R2000(), tlb.DefaultCosts())
-			tw := tapeworm.Attach(hw, tlbConfigs...)
-			tsink := &tlbOnly{hw: hw}
-			both := meterRefs(trace.Tee{engine, tsink}, refsStreamed)
-			tail := meterRefs(trace.Sink(tsink), refsStreamed)
-			reset := func() {
-				hw.ResetService()
-				tw.ResetServices()
-				tsink.instrs = 0
-			}
-			if entry != nil {
-				modelSec, tailSec, err = replayPhases(ctx, entry, both, tail, reset, lane)
-			} else {
-				sys := osmodel.NewSystem(v, spec)
-				modelSec, tailSec, err = generatePhases(ctx, sys, refsEach, both, tail, reset, rec, lane)
-			}
-			flushMeter(both)
-			flushMeter(tail)
-			stageModel.Add(modelSec)
-			stageTapeworm.Add(tailSec)
-			if err != nil {
-				return nil, nil, modelSec, tailSec, err
-			}
-			return engine, tw.Results(), modelSec, tailSec, nil
+		engine = newSweepEngine(cacheCfgs, 8, enginePar{pool: pool, shards: shards})
+		defer engine.close()
+		hw := tlb.NewManaged(tlb.R2000(), tlb.DefaultCosts())
+		tw := tapeworm.Attach(hw, tlbConfigs...)
+		tsink := &tlbOnly{hw: hw}
+		both := meterRefs(trace.Tee{engine, tsink}, refsStreamed)
+		tail := meterRefs(trace.Sink(tsink), refsStreamed)
+		reset := func() {
+			hw.ResetService()
+			tw.ResetServices()
+			tsink.instrs = 0
 		}
-
-		if opt.TraceCache == nil {
-			return attempt(nil, nil)
+		sys := osmodel.NewSystem(v, spec)
+		modelSec, tailSec, err = generatePhases(ctx, sys, refsEach, both, tail, reset, lane)
+		flushMeter(both)
+		flushMeter(tail)
+		stageModel.Add(modelSec)
+		stageTapeworm.Add(tailSec)
+		if err != nil {
+			return nil, nil, modelSec, tailSec, err
 		}
-		key := sweepTraceKey(v, spec, refsEach)
-		if entry := opt.TraceCache.OpenEntry(key); entry != nil {
-			engine, results, modelSec, tailSec, err = attempt(entry, nil)
-			entry.Close()
-			if err == nil || !errors.Is(err, tracecache.ErrCorrupt) {
-				return
-			}
-			opt.progressf("sweep: %s cached trace unusable, regenerating: %v", spec.Name, err)
-			// Drop the bad entry now (logged with its content address)
-			// so no concurrent run trips over it before the
-			// regeneration below re-records it.
-			opt.TraceCache.Evict(key)
-		}
-		rec, werr := opt.TraceCache.NewWriter(key)
-		if werr != nil {
-			opt.progressf("sweep: %s trace recording disabled: %v", spec.Name, werr)
-			return attempt(nil, nil)
-		}
-		defer rec.Abort() // no-op once committed
-		engine, results, modelSec, tailSec, err = attempt(nil, rec)
-		if err == nil {
-			if cerr := rec.Commit(); cerr != nil {
-				opt.progressf("sweep: %s trace not cached: %v", spec.Name, cerr)
-			}
-		}
-		return
+		return engine, tw.Results(), modelSec, tailSec, nil
 	}
 
 	// The per-workload sweeps are independent; run them concurrently
@@ -279,31 +236,11 @@ func buildMeasuredModel(v osmodel.Variant, specs []osmodel.WorkloadSpec, space s
 	return m, failed, nil
 }
 
-// sweepTraceKey content-addresses one workload's generated stream for
-// the trace cache. The Model fingerprint folds in every spec
-// parameter, so tuning a workload mix re-keys its entries even at an
-// unchanged seed.
-func sweepTraceKey(v osmodel.Variant, spec osmodel.WorkloadSpec, refs int) tracecache.Key {
-	return tracecache.Key{
-		Workload: spec.Name,
-		OS:       v.String(),
-		Seed:     spec.Seed,
-		Refs:     refs,
-		Model:    fmt.Sprintf("%+v", spec),
-	}
-}
-
 // generatePhases drives the three-phase generation plan (see the
 // window-reproduction comment in buildMeasuredModel) into the sweep
 // sinks: phases 1-2 feed both (cache engine + TLB), phase 3 feeds only
-// tail. reset runs at the warm-up boundary E1. A non-nil rec records
-// the stream with the two phase boundaries as segment marks, so
-// replayPhases can reproduce the exact windows later.
-func generatePhases(ctx context.Context, sys *osmodel.System, refsEach int, both, tail trace.Sink, reset func(), rec *tracecache.Writer, lane *spans.Lane) (modelSec, tailSec float64, err error) {
-	if rec != nil {
-		both = trace.Tee{both, rec}
-		tail = trace.Tee{tail, rec}
-	}
+// tail. reset runs at the warm-up boundary E1.
+func generatePhases(ctx context.Context, sys *osmodel.System, refsEach int, both, tail trace.Sink, reset func(), lane *spans.Lane) (modelSec, tailSec float64, err error) {
 	start := time.Now()
 	// Phase 1: to the tapeworm warm-up boundary E1.
 	warm := lane.Start("generate.warmup")
@@ -311,9 +248,6 @@ func generatePhases(ctx context.Context, sys *osmodel.System, refsEach int, both
 	warm.End()
 	if ctx.Err() != nil {
 		return time.Since(start).Seconds(), 0, ctx.Err()
-	}
-	if rec != nil {
-		rec.EndSegment()
 	}
 	reset()
 	// Phase 2: to the cache sweeps' boundary E (e1 can already be past
@@ -328,9 +262,6 @@ func generatePhases(ctx context.Context, sys *osmodel.System, refsEach int, both
 	if ctx.Err() != nil {
 		return time.Since(start).Seconds(), 0, ctx.Err()
 	}
-	if rec != nil {
-		rec.EndSegment()
-	}
 	modelSec = time.Since(start).Seconds()
 
 	// Phase 3: tapeworm-only tail to its measurement boundary E2.
@@ -341,37 +272,6 @@ func generatePhases(ctx context.Context, sys *osmodel.System, refsEach int, both
 	}
 	tw3.End()
 	return modelSec, time.Since(start).Seconds(), ctx.Err()
-}
-
-// replayPhases reproduces the three-phase plan from a cached trace
-// entry: one recorded segment per phase, reset at the first boundary.
-// Any error matching tracecache.ErrCorrupt means the sinks saw a
-// partial stream and the caller must regenerate from scratch.
-func replayPhases(ctx context.Context, entry *tracecache.Entry, both, tail trace.Sink, reset func(), lane *spans.Lane) (modelSec, tailSec float64, err error) {
-	segment := func(name string, sink trace.Sink, wantLast bool) error {
-		span := lane.Start(name)
-		_, last, err := entry.ReplaySegment(ctx, sink)
-		span.End()
-		if err != nil {
-			return err
-		}
-		if last != wantLast {
-			return fmt.Errorf("%w: segment layout does not match the sweep's phase plan", tracecache.ErrCorrupt)
-		}
-		return nil
-	}
-	start := time.Now()
-	if err := segment("replay.warmup", both, false); err != nil {
-		return time.Since(start).Seconds(), 0, err
-	}
-	reset()
-	if err := segment("replay.measure", both, false); err != nil {
-		return time.Since(start).Seconds(), 0, err
-	}
-	modelSec = time.Since(start).Seconds()
-	start = time.Now()
-	err = segment("replay.tail", tail, true)
-	return modelSec, time.Since(start).Seconds(), err
 }
 
 // meterRefs threads a sweep sink through a batched reference counter:
@@ -468,9 +368,7 @@ func runAllocation(opt Options, space search.Space, id, title string, extraNotes
 	// share its lane and nest under whatever span the caller has open
 	// (the binaries open "experiment.<id>").
 	lane := opt.Spans.Lane("main")
-	modelSpan := lane.Start("sweep.model")
-	measured, failedWorkloads, err := buildMeasuredModel(osmodel.Mach, workload.All(), grid, refs, opt)
-	modelSpan.End()
+	measured, failedWorkloads, err := measuredModel(osmodel.Mach, workload.All(), grid, refs, opt)
 	if err != nil {
 		return Result{}, fmt.Errorf("model-building sweep: %w", err)
 	}

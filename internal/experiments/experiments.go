@@ -15,7 +15,6 @@ import (
 	"onchip/internal/search"
 	"onchip/internal/spans"
 	"onchip/internal/telemetry"
-	"onchip/internal/tracecache"
 )
 
 // Options controls experiment scale and observability.
@@ -73,12 +72,12 @@ type Options struct {
 	// retried before it is marked failed and excluded from the model.
 	// Zero means no retries.
 	FaultRetries int
-	// TraceCache, when non-nil, short-circuits workload reference
-	// generation in the model-building sweeps: a warm run replays the
-	// compressed on-disk stream (byte-identical to a live generation, so
-	// the tables do not change), a cold run records it. Corrupt entries
-	// fall back to regeneration.
-	TraceCache *tracecache.Cache
+	// Models, when non-nil, answers the model-building sweeps from
+	// measured models an earlier experiment or request of the same
+	// scope already built (see ModelStore). Nil (the default) sweeps for
+	// every experiment and request, so nothing is reused unless the
+	// caller scopes a store: one memalloc invocation, one advisor.
+	Models *ModelStore
 	// Shards forces the sweep engine's per-group set-shard count
 	// (rounded down to a power of two; each simulator group additionally
 	// clamps to its set count). Zero picks an automatic count from the

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -16,7 +15,6 @@ import (
 	"onchip/internal/telemetry"
 	"onchip/internal/tlb"
 	"onchip/internal/trace"
-	"onchip/internal/tracecache"
 	"onchip/internal/workload"
 )
 
@@ -93,16 +91,6 @@ type sweepBenchStats struct {
 	Engine1Seconds  float64 `json:"engine_1worker_seconds"`
 	ParallelSpeedup float64 `json:"parallel_speedup"`
 
-	// The trace-cache series: the parallel sweep with a cold cache
-	// (generation + recording) and repeated warm (replay, no
-	// generation). WarmSpeedup is Engine1Seconds/WarmCacheSeconds --
-	// the end-to-end win of a warm repeat run over the previous
-	// single-worker engine.
-	ColdCacheSeconds float64 `json:"cold_cache_seconds"`
-	WarmCacheSeconds float64 `json:"warm_cache_seconds"`
-	WarmSpeedup      float64 `json:"warm_speedup"`
-	TraceCacheBytes  int64   `json:"trace_cache_bytes"`
-
 	// Span-tracing overhead: the same fused sweep re-run with a live
 	// tracer (phase lanes, per-job worker spans, telemetry folding), as
 	// -spans wires it. OverheadPct is (spans-on / spans-off - 1) * 100.
@@ -116,10 +104,8 @@ type sweepBenchStats struct {
 // production warm-up/measure plan against the engine + tapeworm tee)
 // and returns the engine and the elapsed seconds. A non-nil par.tr
 // instruments it exactly the way sweepWorkload does: workload-lane
-// phase spans plus the engine's per-job worker-lane spans. A non-nil
-// tc engages the trace cache exactly like the production sweep --
-// replay on a hit, record-and-commit on a miss.
-func timeFusedSweep(t *testing.T, spec osmodel.WorkloadSpec, cacheCfgs []area.CacheConfig, tlbConfigs []tlb.Config, refsEach int, par enginePar, tc *tracecache.Cache) (*sweepEngine, float64) {
+// phase spans plus the engine's per-job worker-lane spans.
+func timeFusedSweep(t *testing.T, spec osmodel.WorkloadSpec, cacheCfgs []area.CacheConfig, tlbConfigs []tlb.Config, refsEach int, par enginePar) (*sweepEngine, float64) {
 	t.Helper()
 	start := time.Now()
 	lane := par.tr.Lane("workload/" + spec.Name)
@@ -128,35 +114,13 @@ func timeFusedSweep(t *testing.T, spec osmodel.WorkloadSpec, cacheCfgs []area.Ca
 	hw := tlb.NewManaged(tlb.R2000(), tlb.DefaultCosts())
 	tw := tapeworm.Attach(hw, tlbConfigs...)
 	tsink := &tlbOnly{hw: hw}
-	both := trace.Sink(trace.Tee{engine, tsink})
-	tail := trace.Sink(tsink)
 	reset := func() {
 		hw.ResetService()
 		tw.ResetServices()
 		tsink.instrs = 0
 	}
-	ctx := context.Background()
-	var err error
-	switch {
-	case tc == nil:
-		_, _, err = generatePhases(ctx, osmodel.NewSystem(osmodel.Mach, spec), refsEach, both, tail, reset, nil, lane)
-	default:
-		key := sweepTraceKey(osmodel.Mach, spec, refsEach)
-		if entry := tc.OpenEntry(key); entry != nil {
-			_, _, err = replayPhases(ctx, entry, both, tail, reset, lane)
-			entry.Close()
-		} else {
-			var rec *tracecache.Writer
-			if rec, err = tc.NewWriter(key); err == nil {
-				_, _, err = generatePhases(ctx, osmodel.NewSystem(osmodel.Mach, spec), refsEach, both, tail, reset, rec, lane)
-				if err == nil {
-					err = rec.Commit()
-				} else {
-					rec.Abort()
-				}
-			}
-		}
-	}
+	_, _, err := generatePhases(context.Background(), osmodel.NewSystem(osmodel.Mach, spec), refsEach,
+		trace.Tee{engine, tsink}, tsink, reset, lane)
 	if err != nil {
 		t.Fatalf("fused sweep of %s failed: %v", spec.Name, err)
 	}
@@ -204,7 +168,7 @@ func TestSweepBenchArtifact(t *testing.T) {
 
 	// Fused, serial: one generation, batched, no pool. The baseline of
 	// the workers/shards series.
-	serial, serialSec := timeFusedSweep(t, spec, cacheCfgs, tlbConfigs, refsEach, enginePar{}, nil)
+	serial, serialSec := timeFusedSweep(t, spec, cacheCfgs, tlbConfigs, refsEach, enginePar{})
 	serial.close()
 	mustMatchLegacy("serial", serial)
 
@@ -213,47 +177,16 @@ func TestSweepBenchArtifact(t *testing.T) {
 	// pool gets the whole machine, as the real sweep's shared pool
 	// would once other workloads drain).
 	workers := sweepWorkers(0)
-	engine, engineSec := timeFusedSweep(t, spec, cacheCfgs, tlbConfigs, refsEach, enginePar{workers: workers}, nil)
+	engine, engineSec := timeFusedSweep(t, spec, cacheCfgs, tlbConfigs, refsEach, enginePar{workers: workers})
 	defer engine.close()
 	mustMatchLegacy("parallel", engine)
-
-	// Trace cache, cold then warm: the parallel sweep recording its
-	// stream, then the repeat run replaying it with generation skipped.
-	tc, err := tracecache.Open(filepath.Join(t.TempDir(), "octc"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, coldSec := timeFusedSweep(t, spec, cacheCfgs, tlbConfigs, refsEach, enginePar{workers: workers}, tc)
-	cold.close()
-	mustMatchLegacy("cold-cache", cold)
-	warm, warmSec := timeFusedSweep(t, spec, cacheCfgs, tlbConfigs, refsEach, enginePar{workers: workers}, tc)
-	warm.close()
-	mustMatchLegacy("warm-cache", warm)
-	var cacheBytes int64
-	entries, err := os.ReadDir(tc.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, de := range entries {
-		if filepath.Ext(de.Name()) != ".octc" {
-			continue
-		}
-		info, err := de.Info()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cacheBytes += info.Size()
-	}
-	if cacheBytes == 0 {
-		t.Fatal("cold run committed no trace-cache entry; warm timing is meaningless")
-	}
 
 	// Spans on: the identical fused sweep under a live tracer with
 	// telemetry folding, measuring what -spans costs end to end.
 	tracer := spans.New(0)
 	tracer.SetMetrics(telemetry.NewRegistry())
 	spansEngine, spansSec := timeFusedSweep(t, spec, cacheCfgs, tlbConfigs, refsEach,
-		enginePar{workers: workers, tr: tracer, lanePrefix: "sweep/" + spec.Name}, nil)
+		enginePar{workers: workers, tr: tracer, lanePrefix: "sweep/" + spec.Name})
 	spansEngine.close()
 	mustMatchLegacy("spans", spansEngine)
 
@@ -274,11 +207,6 @@ func TestSweepBenchArtifact(t *testing.T) {
 		Engine1Seconds:  serialSec,
 		ParallelSpeedup: serialSec / engineSec,
 
-		ColdCacheSeconds: coldSec,
-		WarmCacheSeconds: warmSec,
-		WarmSpeedup:      serialSec / warmSec,
-		TraceCacheBytes:  cacheBytes,
-
 		EngineSpansSeconds: spansSec,
 		SpansRefsPerSec:    float64(refsEach) / spansSec,
 		SpansOverheadPct:   (spansSec/engineSec - 1) * 100,
@@ -291,7 +219,7 @@ func TestSweepBenchArtifact(t *testing.T) {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("model-building sweep at %d refs: legacy %.2fs, serial %.2fs, fused %.2fs (%.1fx vs legacy, %d workers x %d shards), cold cache %.2fs, warm %.2fs (%.1fx vs serial, %d B), spans on %.2fs (%+.1f%%, %d spans) -> %s",
+	t.Logf("model-building sweep at %d refs: legacy %.2fs, serial %.2fs, fused %.2fs (%.1fx vs legacy, %d workers x %d shards), spans on %.2fs (%+.1f%%, %d spans) -> %s",
 		refsEach, legacySec, serialSec, engineSec, stats.Speedup, workers, stats.Shards,
-		coldSec, warmSec, stats.WarmSpeedup, cacheBytes, spansSec, stats.SpansOverheadPct, stats.SpansRecorded, path)
+		spansSec, stats.SpansOverheadPct, stats.SpansRecorded, path)
 }

@@ -29,6 +29,7 @@ package missmodel
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"onchip/internal/area"
@@ -203,11 +204,22 @@ func FromMeasured(m *search.Measured) *Extended {
 	return e
 }
 
+// The fits below visit the samples in canonical configuration order
+// (search.CmpCacheConfig / search.CmpTLBConfig), never map order: the
+// least-squares sums are floating-point, so a different summation order
+// would move every off-grid prediction in its last digits from one fit
+// of the same model to the next.
+
 func fitCacheFamily(samples map[area.CacheConfig]float64) fitted {
+	cfgs := make([]area.CacheConfig, 0, len(samples))
+	for cfg := range samples {
+		cfgs = append(cfgs, cfg)
+	}
+	slices.SortFunc(cfgs, search.CmpCacheConfig)
 	byClass := map[class][][2]float64{}
-	for cfg, v := range samples {
+	for _, cfg := range cfgs {
 		c := class{assoc: cfg.Assoc, line: cfg.LineWords}
-		byClass[c] = append(byClass[c], [2]float64{float64(cfg.CapacityBytes), v})
+		byClass[c] = append(byClass[c], [2]float64{float64(cfg.CapacityBytes), samples[cfg]})
 	}
 	f := fitted{curves: make(map[class]PowerLaw, len(byClass)), slack: 1}
 	for c, pts := range byClass {
@@ -232,9 +244,14 @@ func fitCacheFamily(samples map[area.CacheConfig]float64) fitted {
 }
 
 func fitTLBFamily(samples map[area.TLBConfig]float64) tlbFitted {
+	cfgs := make([]area.TLBConfig, 0, len(samples))
+	for cfg := range samples {
+		cfgs = append(cfgs, cfg)
+	}
+	slices.SortFunc(cfgs, search.CmpTLBConfig)
 	byAssoc := map[int][][2]float64{}
-	for cfg, v := range samples {
-		byAssoc[cfg.Assoc] = append(byAssoc[cfg.Assoc], [2]float64{float64(cfg.Entries), v})
+	for _, cfg := range cfgs {
+		byAssoc[cfg.Assoc] = append(byAssoc[cfg.Assoc], [2]float64{float64(cfg.Entries), samples[cfg]})
 	}
 	f := tlbFitted{curves: make(map[int]PowerLaw, len(byAssoc)), slack: 1}
 	for a, pts := range byAssoc {

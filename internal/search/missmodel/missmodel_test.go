@@ -203,3 +203,65 @@ func TestExtendedDrivesBothStrategiesIdentically(t *testing.T) {
 		}
 	}
 }
+
+// TestRefitIsBitIdentical refits one measured model many times and
+// requires every off-grid prediction to come out bit-for-bit the same.
+// The grid values carry deterministic "measurement noise" so the fits
+// are not exact power laws and the least-squares sums depend on the
+// order the points are added in: fed in map order, most refits would
+// move the off-grid CPIs in their last digits.
+func TestRefitIsBitIdentical(t *testing.T) {
+	m, grid := gridModel(t)
+	i := 0
+	noisy := func(v float64) float64 {
+		i++
+		return v * (1 + 0.15*math.Sin(float64(i)))
+	}
+	for _, cfg := range grid.TLBConfigs() {
+		m.TLB[cfg] = noisy(m.TLB[cfg])
+	}
+	for _, cfg := range grid.CacheConfigs() {
+		m.IC[cfg] = noisy(m.IC[cfg])
+		m.DC[cfg] = noisy(m.DC[cfg])
+	}
+
+	big := search.Big()
+	var caches []area.CacheConfig
+	for _, cfg := range big.CacheConfigs() {
+		if _, on := m.IC[cfg]; !on {
+			caches = append(caches, cfg)
+		}
+	}
+	var tlbs []area.TLBConfig
+	for _, cfg := range big.TLBConfigs() {
+		if _, on := m.TLB[cfg]; !on {
+			tlbs = append(tlbs, cfg)
+		}
+	}
+	if len(caches) == 0 || len(tlbs) == 0 {
+		t.Fatal("the big space has no off-grid configurations to price")
+	}
+	predictions := func() []uint64 {
+		e := FromMeasured(m)
+		b := e.Bound()
+		var out []uint64
+		for _, cfg := range caches {
+			out = append(out, math.Float64bits(e.ICacheCPI(cfg)), math.Float64bits(e.DCacheCPI(cfg)),
+				math.Float64bits(b.ICacheCPI(cfg)), math.Float64bits(b.DCacheCPI(cfg)))
+		}
+		for _, cfg := range tlbs {
+			out = append(out, math.Float64bits(e.TLBCPI(cfg)), math.Float64bits(b.TLBCPI(cfg)))
+		}
+		return out
+	}
+	want := predictions()
+	for refit := 1; refit < 200; refit++ {
+		got := predictions()
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("refit %d: prediction %d is %v, first fit gave %v",
+					refit, j, math.Float64frombits(got[j]), math.Float64frombits(want[j]))
+			}
+		}
+	}
+}

@@ -27,13 +27,13 @@ func lessAlloc(a, b Allocation) bool {
 	if a.AreaRBE != b.AreaRBE {
 		return a.AreaRBE < b.AreaRBE
 	}
-	if c := cmpTLBConfig(a.TLB, b.TLB); c != 0 {
+	if c := CmpTLBConfig(a.TLB, b.TLB); c != 0 {
 		return c < 0
 	}
-	if c := cmpCacheConfig(a.ICache, b.ICache); c != 0 {
+	if c := CmpCacheConfig(a.ICache, b.ICache); c != 0 {
 		return c < 0
 	}
-	return cmpCacheConfig(a.DCache, b.DCache) < 0
+	return CmpCacheConfig(a.DCache, b.DCache) < 0
 }
 
 // sortAllocations sorts into the canonical ranking order. The sort is
@@ -43,12 +43,12 @@ func sortAllocations(out []Allocation) {
 	sort.SliceStable(out, func(i, j int) bool { return lessAlloc(out[i], out[j]) })
 }
 
-// cmpTLBConfig orders TLB configurations by every field that
+// CmpTLBConfig orders TLB configurations by every field that
 // distinguishes them, so any two distinct configurations compare
 // unequal. FullyAssociative (0) deliberately sorts before any set
 // associativity; the order only needs to be deterministic, not
 // meaningful.
-func cmpTLBConfig(a, b area.TLBConfig) int {
+func CmpTLBConfig(a, b area.TLBConfig) int {
 	if c := cmpInt(a.Entries, b.Entries); c != 0 {
 		return c
 	}
@@ -67,8 +67,8 @@ func cmpTLBConfig(a, b area.TLBConfig) int {
 	return cmpInt(a.DataBits, b.DataBits)
 }
 
-// cmpCacheConfig is cmpTLBConfig for cache configurations.
-func cmpCacheConfig(a, b area.CacheConfig) int {
+// CmpCacheConfig is CmpTLBConfig for cache configurations.
+func CmpCacheConfig(a, b area.CacheConfig) int {
 	if c := cmpInt(a.CapacityBytes, b.CapacityBytes); c != 0 {
 		return c
 	}

@@ -136,8 +136,8 @@ func enumeratePruned(tlbs []pricedTLB, caches []pricedCache, base, budget float6
 		iPts[i] = axisPoint{area: c.area, cpi: c.icpi, idx: i}
 		dPts[i] = axisPoint{area: c.area, cpi: c.dcpi, idx: i}
 	}
-	tieTLB := func(i, j int) int { return cmpTLBConfig(tlbs[i].cfg, tlbs[j].cfg) }
-	tieCache := func(i, j int) int { return cmpCacheConfig(caches[i].cfg, caches[j].cfg) }
+	tieTLB := func(i, j int) int { return CmpTLBConfig(tlbs[i].cfg, tlbs[j].cfg) }
+	tieCache := func(i, j int) int { return CmpCacheConfig(caches[i].cfg, caches[j].cfg) }
 	tf := paretoK(tPts, k, tieTLB)
 	icf := paretoK(iPts, k, tieCache)
 	dcf := paretoK(dPts, k, tieCache)

@@ -190,7 +190,7 @@ func TestTieBreakDeterministic(t *testing.T) {
 	if !lessAlloc(mixed[0], mixed[1]) || lessAlloc(mixed[1], mixed[0]) {
 		t.Fatalf("lessAlloc is not a strict order on the tied pair: %v", mixed)
 	}
-	if cmpCacheConfig(mixed[0].ICache, mixed[1].ICache) >= 0 {
+	if CmpCacheConfig(mixed[0].ICache, mixed[1].ICache) >= 0 {
 		t.Errorf("tie not broken by canonical config order: %v before %v", mixed[0], mixed[1])
 	}
 	// Both strategies must agree on the full ranking, ties included.

@@ -1,10 +1,13 @@
-// Package tracecache caches generated reference streams on disk so a
-// repeat sweep never pays for generation twice. Entries are
-// content-addressed -- the filename is an FNV-64a hash over the
-// workload, OS model, seed, reference count, and format version, in
-// the style of search's checkpoint space signature -- so a stale entry
-// is simply never looked up, and a changed model re-keys rather than
-// corrupts.
+// Package tracecache stores generated reference streams on disk in a
+// compressed, content-addressed form. Entries are keyed by an FNV-64a
+// hash over the workload, OS model, seed, reference count, and format
+// version, in the style of search's checkpoint space signature -- so a
+// stale entry is simply never looked up, and a changed model re-keys
+// rather than corrupts.
+//
+// No command uses the package any more: repeated sweeps share measured
+// models through experiments.ModelStore instead of replaying streams.
+// It is kept, with its tests, until it is removed outright.
 //
 // The on-disk format ("OCTC") compresses aggressively because traces
 // are overwhelmingly sequential: records carry zig-zag varint address
@@ -13,7 +16,7 @@
 // byte only when the address space changes. Payloads are framed in
 // length-prefixed CRC32 blocks like internal/tsdb, so truncation and
 // bit rot are detected per block; a corrupt entry is reported as
-// ErrCorrupt and the caller falls back to live generation.
+// ErrCorrupt.
 package tracecache
 
 import (

@@ -10,8 +10,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
-	"time"
 
 	"onchip/internal/telemetry"
 	"onchip/internal/trace"
@@ -54,26 +52,7 @@ type Cache struct {
 	misses  *telemetry.Counter
 	corrupt *telemetry.Counter
 	bytes   *telemetry.Counter
-
-	// Corrupt-event plumbing: a sliding window of event times backs the
-	// corrupt-rate gauge (a counter alone cannot distinguish "one bad
-	// entry a week ago" from "the disk is dying right now"), and the
-	// hook plus log writer let operators and circuit breakers see each
-	// event with the content address it hit.
-	corruptMu    sync.Mutex
-	corruptTimes []time.Time
-	onCorrupt    func(addr string, err error)
-	logw         io.Writer
-
-	// readWrap, when non-nil, wraps every entry's file reader --
-	// the fault-injection seam the chaos harness uses to exercise the
-	// corrupt-fallback and breaker paths against real decode machinery.
-	readWrap func(io.Reader) io.Reader
 }
-
-// corruptRateWindow is the sliding window the corrupt-rate gauge
-// averages over.
-const corruptRateWindow = time.Minute
 
 // Open returns a cache rooted at dir, creating it if needed.
 func Open(dir string) (*Cache, error) {
@@ -83,12 +62,7 @@ func Open(dir string) (*Cache, error) {
 	return &Cache{dir: dir}, nil
 }
 
-// Dir returns the cache root.
-func (c *Cache) Dir() string { return c.dir }
-
-// Describe registers the cache's telemetry counters, plus the
-// corrupt-event rate: events per second averaged over the last minute,
-// so a scrape distinguishes an ongoing disk problem from stale history.
+// Describe registers the cache's telemetry counters.
 func (c *Cache) Describe(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -97,81 +71,6 @@ func (c *Cache) Describe(reg *telemetry.Registry) {
 	c.misses = reg.Counter("tracecache.miss", "trace cache lookups that fell back to generation")
 	c.corrupt = reg.Counter("tracecache.corrupt", "trace cache entries rejected as corrupt")
 	c.bytes = reg.Counter("tracecache.bytes", "compressed bytes committed to the trace cache")
-	reg.GaugeFunc("tracecache.corrupt_rate",
-		"corrupt-entry events per second over the last minute",
-		func() float64 { return c.CorruptRate(time.Now()) })
-}
-
-// CorruptRate reports corrupt-entry events per second over the window
-// ending at now.
-func (c *Cache) CorruptRate(now time.Time) float64 {
-	c.corruptMu.Lock()
-	defer c.corruptMu.Unlock()
-	c.pruneCorruptLocked(now)
-	return float64(len(c.corruptTimes)) / corruptRateWindow.Seconds()
-}
-
-// pruneCorruptLocked drops window-expired events; corruptMu held.
-func (c *Cache) pruneCorruptLocked(now time.Time) {
-	cut := now.Add(-corruptRateWindow)
-	i := 0
-	for i < len(c.corruptTimes) && c.corruptTimes[i].Before(cut) {
-		i++
-	}
-	c.corruptTimes = c.corruptTimes[i:]
-}
-
-// OnCorrupt installs a hook invoked on every corrupt-entry event with
-// the entry's content address and the decode error. The advisor's
-// circuit breaker installs itself here. Call before serving traffic;
-// the hook may fire from any goroutine replaying an entry.
-func (c *Cache) OnCorrupt(fn func(addr string, err error)) { c.onCorrupt = fn }
-
-// SetLogWriter directs one operator-facing log line per corrupt-entry
-// event (naming the content address, so disk-level errors can be
-// correlated) to w. Nil disables logging, the default.
-func (c *Cache) SetLogWriter(w io.Writer) { c.logw = w }
-
-// SetReadWrapper wraps every subsequently-opened entry's underlying
-// file reader -- the seam deterministic fault injection uses
-// (inj.Reader / inj.ReaderContext) to exercise the corrupt-fallback
-// path against the real decoder. Production callers leave it unset.
-func (c *Cache) SetReadWrapper(wrap func(io.Reader) io.Reader) { c.readWrap = wrap }
-
-// noteCorrupt records one corrupt-entry event against addr: counter,
-// rate window, operator log line, and the OnCorrupt hook.
-func (c *Cache) noteCorrupt(addr string, err error) {
-	c.corrupt.Inc()
-	now := time.Now()
-	c.corruptMu.Lock()
-	c.pruneCorruptLocked(now)
-	c.corruptTimes = append(c.corruptTimes, now)
-	c.corruptMu.Unlock()
-	if c.logw != nil {
-		fmt.Fprintf(c.logw, "tracecache: corrupt entry %s: %v\n", addr, err)
-	}
-	if c.onCorrupt != nil {
-		c.onCorrupt(addr, err)
-	}
-}
-
-// Evict removes k's entry from the cache, logging the content address
-// so operators can correlate evictions with disk issues. The fallback
-// path calls it after a corrupt replay: regeneration will re-record
-// the entry, and in the meantime no other run trips over the bad
-// bytes. Missing entries are a no-op.
-func (c *Cache) Evict(k Key) {
-	addr := fmt.Sprintf("%016x", k.hash())
-	if err := os.Remove(c.path(k)); err != nil {
-		if !os.IsNotExist(err) && c.logw != nil {
-			fmt.Fprintf(c.logw, "tracecache: evicting %s: %v\n", addr, err)
-		}
-		return
-	}
-	if c.logw != nil {
-		fmt.Fprintf(c.logw, "tracecache: evicted corrupt entry %s (workload %s, %s, seed=%d, refs=%d)\n",
-			addr, k.Workload, k.OS, k.Seed, k.Refs)
-	}
 }
 
 func (c *Cache) path(k Key) string {
@@ -194,30 +93,24 @@ func (c *Cache) OpenEntry(k Key) *Entry {
 		c.misses.Inc()
 		return nil
 	}
-	addr := fmt.Sprintf("%016x", k.hash())
-	var r io.Reader = f
-	if c.readWrap != nil {
-		r = c.readWrap(r)
-	}
-	br := bufio.NewReaderSize(r, 1<<16)
+	br := bufio.NewReaderSize(f, 1<<16)
 	line, err := br.ReadString('\n')
 	if err != nil || line != c.header(k) {
 		f.Close()
-		c.noteCorrupt(addr, corruptf("bad entry header"))
+		c.corrupt.Inc()
 		c.misses.Inc()
 		return nil
 	}
 	c.hits.Inc()
-	return &Entry{c: c, f: f, br: br, addr: addr}
+	return &Entry{c: c, f: f, br: br}
 }
 
 // Entry replays one cached stream, segment by segment, in the exact
 // order it was recorded.
 type Entry struct {
-	c    *Cache
-	f    *os.File
-	br   *bufio.Reader
-	addr string // content address, for corrupt-event reporting
+	c  *Cache
+	f  *os.File
+	br *bufio.Reader
 
 	buf       []trace.Ref
 	delivered uint64
@@ -247,12 +140,12 @@ func (e *Entry) ReplaySegment(ctx context.Context, sink trace.Sink) (uint64, boo
 		}
 		payload, err := e.readBlock()
 		if err != nil {
-			e.c.noteCorrupt(e.addr, err)
+			e.c.corrupt.Inc()
 			return n, false, err
 		}
 		refs, ctl, err := decodePayload(payload, e.buf[:0])
 		if err != nil {
-			e.c.noteCorrupt(e.addr, err)
+			e.c.corrupt.Inc()
 			return n, false, err
 		}
 		e.buf = refs // keep the grown buffer for the next block
@@ -270,7 +163,7 @@ func (e *Entry) ReplaySegment(ctx context.Context, sink trace.Sink) (uint64, boo
 		if ctl.total != e.delivered || ctl.segments != e.segments {
 			err := corruptf("entry totals %d refs/%d segments, recorded %d/%d",
 				e.delivered, e.segments, ctl.total, ctl.segments)
-			e.c.noteCorrupt(e.addr, err)
+			e.c.corrupt.Inc()
 			return n, true, err
 		}
 		return n, true, nil

@@ -1,18 +1,13 @@
 package tracecache
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
-	"time"
 
-	"onchip/internal/faultinject"
 	"onchip/internal/telemetry"
 	"onchip/internal/trace"
 )
@@ -233,139 +228,6 @@ func TestAbortLeavesNoEntry(t *testing.T) {
 	ents, _ := os.ReadDir(dir)
 	for _, ent := range ents {
 		t.Errorf("leftover file %s", filepath.Join(dir, ent.Name()))
-	}
-}
-
-// Corrupt entries must surface as a rate (not just a cumulative
-// counter), fire the OnCorrupt hook with the content address, and log
-// one operator line naming that address.
-func TestCorruptEventsSurfaceRateHookAndLog(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	c, _ := Open(t.TempDir())
-	reg := telemetry.NewRegistry()
-	c.Describe(reg)
-	var logbuf bytes.Buffer
-	c.SetLogWriter(&logbuf)
-	var hookAddrs []string
-	c.OnCorrupt(func(addr string, err error) {
-		if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("hook error %v does not match ErrCorrupt", err)
-		}
-		hookAddrs = append(hookAddrs, addr)
-	})
-
-	k := Key{Workload: "w", OS: "Mach", Seed: 1, Refs: 2000, Model: "m"}
-	record(t, c, k, [][]trace.Ref{randRefs(rng, 2000)})
-	addr := fmt.Sprintf("%016x", k.hash())
-
-	// Flip one byte past the header so replay (not open) hits it.
-	path := c.path(k)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-10] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	e := c.OpenEntry(k)
-	if e == nil {
-		t.Fatal("header should still verify")
-	}
-	for {
-		_, last, err := e.ReplaySegment(context.Background(), trace.Discard)
-		if err != nil || last {
-			break
-		}
-	}
-	e.Close()
-
-	if len(hookAddrs) == 0 || hookAddrs[0] != addr {
-		t.Errorf("OnCorrupt hook saw %v, want [%s ...]", hookAddrs, addr)
-	}
-	if rate := c.CorruptRate(time.Now()); rate <= 0 {
-		t.Errorf("CorruptRate = %v after a corrupt event, want > 0", rate)
-	}
-	// And the window expires: an hour from now the rate is zero again.
-	if rate := c.CorruptRate(time.Now().Add(time.Hour)); rate != 0 {
-		t.Errorf("CorruptRate an hour later = %v, want 0", rate)
-	}
-	if !strings.Contains(logbuf.String(), addr) {
-		t.Errorf("operator log %q does not name the content address %s", logbuf.String(), addr)
-	}
-	var found bool
-	for _, m := range reg.Snapshot() {
-		if m.Name == "tracecache.corrupt_rate" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("tracecache.corrupt_rate gauge not registered")
-	}
-}
-
-func TestEvictRemovesEntryAndLogsAddress(t *testing.T) {
-	c, _ := Open(t.TempDir())
-	var logbuf bytes.Buffer
-	c.SetLogWriter(&logbuf)
-	k := Key{Workload: "w", OS: "Mach", Seed: 2, Refs: 100, Model: "m"}
-	record(t, c, k, [][]trace.Ref{randRefs(rand.New(rand.NewSource(7)), 100)})
-	c.Evict(k)
-	if e := c.OpenEntry(k); e != nil {
-		e.Close()
-		t.Fatal("entry still present after Evict")
-	}
-	addr := fmt.Sprintf("%016x", k.hash())
-	if !strings.Contains(logbuf.String(), addr) {
-		t.Errorf("evict log %q does not name the content address %s", logbuf.String(), addr)
-	}
-	// Evicting an absent entry is a quiet no-op.
-	logbuf.Reset()
-	c.Evict(k)
-	if logbuf.Len() != 0 {
-		t.Errorf("evicting a missing entry logged %q", logbuf.String())
-	}
-}
-
-// The read wrapper is the fault-injection seam: injected transient
-// errors and bit flips must surface as ErrCorrupt (with events
-// recorded), never as wrong data.
-func TestReadWrapperInjectsFaults(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	c, _ := Open(t.TempDir())
-	k := Key{Workload: "w", OS: "Mach", Seed: 3, Refs: 5000, Model: "m"}
-	orig := randRefs(rng, 5000)
-	record(t, c, k, [][]trace.Ref{orig})
-
-	inj := faultinject.New(faultinject.Config{Seed: 99, IOErrProb: 0.05, CorruptProb: 0.05})
-	c.SetReadWrapper(inj.Reader)
-	sawCorrupt := false
-	for attempt := 0; attempt < 50 && !sawCorrupt; attempt++ {
-		e := c.OpenEntry(k)
-		if e == nil {
-			sawCorrupt = true // header read faulted: a clean miss
-			break
-		}
-		var got []trace.Ref
-		sink := trace.SinkFunc(func(r trace.Ref) { got = append(got, r) })
-		_, _, err := e.ReplaySegment(context.Background(), sink)
-		e.Close()
-		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("fault surfaced as %v, not ErrCorrupt", err)
-			}
-			sawCorrupt = true
-			break
-		}
-		for i := range got {
-			if got[i] != orig[i] {
-				t.Fatalf("injected fault delivered wrong data at ref %d", i)
-			}
-		}
-	}
-	if !sawCorrupt {
-		t.Error("50 faulty replays at 10% combined fault rate never surfaced ErrCorrupt")
 	}
 }
 
